@@ -579,18 +579,23 @@ TEST(KernelsDispatch, GemmInt8ExactAcrossTiersAndThreads) {
 }
 
 TEST(Kernels, BroadcastPlanIteratesOdometer) {
-  // a (2 x 3) with b broadcast along the rows (1 x 3).
+  // a (2 x 3) with b broadcast along the rows (1 x 3): two runs of 3, and
+  // expanding each run in order reproduces the element-wise odometer.
   kernels::BroadcastPlan bc;
   bc.dims = {2, 3};
   bc.stride_a = {3, 1};
   bc.stride_b = {0, 1};
   bc.numel = 6;
-  std::vector<int64_t> seen_a, seen_b;
-  kernels::ForEachBroadcast(bc, [&](int64_t i, int64_t ia, int64_t ib) {
-    EXPECT_EQ(i, static_cast<int64_t>(seen_a.size()));
-    seen_a.push_back(ia);
-    seen_b.push_back(ib);
+  std::vector<int64_t> run_starts, seen_a, seen_b;
+  kernels::ForEachBroadcastRun(bc, [&](int64_t i, int64_t ia, int64_t ib) {
+    run_starts.push_back(i);
+    for (int64_t j = 0; j < bc.dims.back(); ++j) {
+      EXPECT_EQ(i + j, static_cast<int64_t>(seen_a.size()));
+      seen_a.push_back(ia + j * bc.stride_a.back());
+      seen_b.push_back(ib + j * bc.stride_b.back());
+    }
   });
+  EXPECT_EQ(run_starts, (std::vector<int64_t>{0, 3}));
   EXPECT_EQ(seen_a, (std::vector<int64_t>{0, 1, 2, 3, 4, 5}));
   EXPECT_EQ(seen_b, (std::vector<int64_t>{0, 1, 2, 0, 1, 2}));
 }
