@@ -157,11 +157,24 @@ double ContinualStrategy::TrainOnBatch(const data::Task& task,
                                        const std::vector<int64_t>& batch,
                                        const std::vector<Tensor>& params) {
   EDSR_TRACE_SPAN("batch");
-  Tensor view1 = View(task.train, batch);
-  Tensor view2 = View(task.train, batch);
+  Tensor view1;
+  Tensor view2;
+  {
+    EDSR_TRACE_SPAN("views");
+    view1 = View(task.train, batch);
+    view2 = View(task.train, batch);
+  }
   optimizer_->ZeroGrad();
-  Tensor batch_loss = ComputeBatchLoss(task, batch, view1, view2);
-  batch_loss.Backward();
+  Tensor batch_loss;
+  {
+    EDSR_TRACE_SPAN("loss");  // encoder forwards and every loss term
+    batch_loss = ComputeBatchLoss(task, batch, view1, view2);
+  }
+  {
+    EDSR_TRACE_SPAN("backward");
+    batch_loss.Backward();
+  }
+  EDSR_TRACE_SPAN("optimizer_step");
   if (context_.grad_clip > 0.0f) {
     optim::ClipGradNorm(params, context_.grad_clip);
   }

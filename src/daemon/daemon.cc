@@ -201,18 +201,22 @@ util::Status LearnServeDaemon::Start() {
   if (!restored) EDSR_RETURN_NOT_OK(SaveCheckpoint());
   EDSR_RETURN_NOT_OK(handle_->LoadAndSwap(checkpoint_path()));
 
+  size_t cycles = 0;
+  size_t pending = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     started_ = true;
     stop_ = false;
+    // Read under the lock: once the cycle thread starts it mutates both.
+    cycles = history_.size();
+    pending = pending_.size();
   }
   cycle_thread_ = std::thread([this] { CycleLoop(); });
   EDSR_LOG(Info) << "daemon: " << options_.strategy << " on "
                  << options_.preset << " (dim " << input_dim_ << "), trigger "
                  << options_.trigger_spec << ", "
                  << (restored ? "resumed at cycle " : "fresh at cycle ")
-                 << history_.size() << ", " << pending_.size()
-                 << " pending journaled samples";
+                 << cycles << ", " << pending << " pending journaled samples";
   return util::Status::OK();
 }
 

@@ -12,6 +12,9 @@ namespace edsr::io {
 
 namespace {
 constexpr size_t kHeaderSize = 8 + 4 + 4 + 8;  // magic | version | count | table offset
+// Smallest table entry: name length (u64), a non-empty name, offset (u64),
+// size (u64), crc (u32).
+constexpr size_t kMinSectionEntrySize = 8 + 1 + 8 + 8 + 4;
 }  // namespace
 
 void ContainerWriter::AddSection(const std::string& name,
@@ -107,6 +110,13 @@ util::Result<ContainerReader> ContainerReader::Open(const std::string& path) {
   }
 
   BufferReader table(reader.file_.data() + table_offset, size - table_offset);
+  // Bound the count by the table bytes before reserving: a corrupt count
+  // must not drive a huge allocation.
+  if (count > table.remaining() / kMinSectionEntrySize) {
+    return util::Status::IoError(path + ": section count " +
+                                 std::to_string(count) +
+                                 " exceeds the section table");
+  }
   reader.sections_.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     Section s;

@@ -51,7 +51,9 @@ util::Status BufferReader::ReadBytes(void* out, size_t size) {
                                  std::to_string(size) + " bytes, have " +
                                  std::to_string(remaining()));
   }
-  std::memcpy(out, data_ + pos_, size);
+  // An empty read may come with a null `out` (data() of an empty vector),
+  // which memcpy must not be given even for zero bytes.
+  if (size > 0) std::memcpy(out, data_ + pos_, size);
   pos_ += size;
   return util::Status::OK();
 }

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "src/nn/init.h"
+#include "src/tensor/arena.h"
 #include "src/tensor/ops.h"
 
 namespace edsr::nn {
@@ -54,7 +55,33 @@ Tensor Conv2dLayer::Forward(const Tensor& input) {
   return tensor::Conv2d(input, weight_, bias_, spec_);
 }
 
-// ---- BatchNorm1d -----------------------------------------------------------------
+// ---- BatchNorm1d / BatchNorm2d ------------------------------------------------
+
+namespace {
+// Shared forward of both BatchNorm layers: one tensor::BatchNorm node, and
+// in training mode an update of the running statistics (outside the graph)
+// from the batch statistics it reports.
+Tensor BatchNormForward(const Tensor& input, const Tensor& gamma,
+                        const Tensor& beta, Tensor* running_mean,
+                        Tensor* running_var, bool training, float momentum,
+                        float eps) {
+  float* rm = running_mean->mutable_data().data();
+  float* rv = running_var->mutable_data().data();
+  if (!training) {
+    return tensor::BatchNorm(input, gamma, beta, false, eps, rm, rv);
+  }
+  int64_t channels = running_mean->numel();
+  tensor::arena::Scope scope;
+  float* mean = tensor::arena::AllocFloats(channels);
+  float* var = tensor::arena::AllocFloats(channels);
+  Tensor out = tensor::BatchNorm(input, gamma, beta, true, eps, mean, var);
+  for (int64_t i = 0; i < channels; ++i) {
+    rm[i] = (1.0f - momentum) * rm[i] + momentum * mean[i];
+    rv[i] = (1.0f - momentum) * rv[i] + momentum * var[i];
+  }
+  return out;
+}
+}  // namespace
 
 BatchNorm1d::BatchNorm1d(int64_t features, float momentum, float eps)
     : features_(features), momentum_(momentum), eps_(eps) {
@@ -67,27 +94,9 @@ BatchNorm1d::BatchNorm1d(int64_t features, float momentum, float eps)
 Tensor BatchNorm1d::Forward(const Tensor& input) {
   EDSR_CHECK_EQ(input.dim(), 2);
   EDSR_CHECK_EQ(input.shape()[1], features_);
-  if (training()) {
-    Tensor mean = tensor::Mean(input, 0, /*keepdims=*/true);
-    Tensor var =
-        tensor::Mean(tensor::Square(input - mean), 0, /*keepdims=*/true);
-    // Update running statistics outside the graph.
-    const std::vector<float>& m = mean.data();
-    const std::vector<float>& v = var.data();
-    std::vector<float>& rm = running_mean_.mutable_data();
-    std::vector<float>& rv = running_var_.mutable_data();
-    for (int64_t i = 0; i < features_; ++i) {
-      rm[i] = (1.0f - momentum_) * rm[i] + momentum_ * m[i];
-      rv[i] = (1.0f - momentum_) * rv[i] + momentum_ * v[i];
-    }
-    Tensor xhat = (input - mean) / tensor::Sqrt(var + eps_);
-    return xhat * gamma_ + beta_;
-  }
-  Tensor xhat = (input - running_mean_) / tensor::Sqrt(running_var_ + eps_);
-  return xhat * gamma_ + beta_;
+  return BatchNormForward(input, gamma_, beta_, &running_mean_, &running_var_,
+                          training(), momentum_, eps_);
 }
-
-// ---- BatchNorm2d ---------------------------------------------------------------------
 
 BatchNorm2d::BatchNorm2d(int64_t channels, float momentum, float eps)
     : channels_(channels), momentum_(momentum), eps_(eps) {
@@ -102,26 +111,8 @@ BatchNorm2d::BatchNorm2d(int64_t channels, float momentum, float eps)
 Tensor BatchNorm2d::Forward(const Tensor& input) {
   EDSR_CHECK_EQ(input.dim(), 4);
   EDSR_CHECK_EQ(input.shape()[1], channels_);
-  if (training()) {
-    // Mean/var over batch and spatial axes, keeping (1, c, 1, 1).
-    Tensor mean = tensor::Mean(
-        tensor::Mean(tensor::Mean(input, 3, true), 2, true), 0, true);
-    Tensor sq = tensor::Square(input - mean);
-    Tensor var =
-        tensor::Mean(tensor::Mean(tensor::Mean(sq, 3, true), 2, true), 0, true);
-    const std::vector<float>& m = mean.data();
-    const std::vector<float>& v = var.data();
-    std::vector<float>& rm = running_mean_.mutable_data();
-    std::vector<float>& rv = running_var_.mutable_data();
-    for (int64_t i = 0; i < channels_; ++i) {
-      rm[i] = (1.0f - momentum_) * rm[i] + momentum_ * m[i];
-      rv[i] = (1.0f - momentum_) * rv[i] + momentum_ * v[i];
-    }
-    Tensor xhat = (input - mean) / tensor::Sqrt(var + eps_);
-    return xhat * gamma_ + beta_;
-  }
-  Tensor xhat = (input - running_mean_) / tensor::Sqrt(running_var_ + eps_);
-  return xhat * gamma_ + beta_;
+  return BatchNormForward(input, gamma_, beta_, &running_mean_, &running_var_,
+                          training(), momentum_, eps_);
 }
 
 // ---- ReLU / Sequential ----------------------------------------------------------------

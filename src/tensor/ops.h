@@ -90,6 +90,20 @@ Tensor Mean(const Tensor& a, int64_t axis, bool keepdims = false);
 Tensor ReduceMax(const Tensor& a, int64_t axis, bool keepdims = false);
 Tensor ReduceMin(const Tensor& a, int64_t axis, bool keepdims = false);
 
+// ---- Normalization --------------------------------------------------------
+// Batch normalization as one autograd node. x is viewed as
+// (outer, c, inner): outer = x.shape()[0], c = x.shape()[1], inner = the
+// product of the remaining dims (1 for 2-D input). gamma and beta hold c
+// values each (any shape) and receive gradients. Every channel becomes
+// (x - mean) / sqrt(var + eps) * gamma + beta, where `mean` / `var` point
+// at c floats:
+//  * training: the batch mean and biased variance of each channel over its
+//    outer * inner values are used, written to mean / var (for the caller's
+//    running-stat update) and differentiated through;
+//  * eval: mean / var are read as fixed statistics (no gradient).
+Tensor BatchNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
+                 bool training, float eps, float* mean, float* var);
+
 // ---- Composites used across the library ---------------------------------
 // Rows scaled to unit L2 norm: x / sqrt(sum(x^2) + eps). 2-D input.
 Tensor L2NormalizeRows(const Tensor& a, float eps = 1e-8f);

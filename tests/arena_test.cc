@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/nn/layers.h"
 #include "src/obs/metrics.h"
 #include "src/tensor/ops.h"
 #include "src/tensor/tensor.h"
@@ -119,18 +120,21 @@ TEST(Arena, StatsCountersTrackActivity) {
 
 TEST(Arena, SteadyStateTrainStepIsHeapAllocationFree) {
   // The acceptance criterion for the arena: once buffer sizes have been seen
-  // (warmup), a full forward/backward train step acquires every tensor
-  // buffer, grad buffer, and packing scratch from the arena — zero pool
-  // misses and zero fresh bump blocks.
+  // (warmup), a full forward/backward train step (BatchNorm included)
+  // acquires every tensor buffer, grad buffer, and packing scratch from the
+  // arena — zero pool misses and zero fresh bump blocks.
   util::Rng rng(0);
   tensor::Tensor w1 = tensor::Tensor::Randn({48, 32}, &rng, 0, 0.05f, true);
   tensor::Tensor w2 = tensor::Tensor::Randn({32, 16}, &rng, 0, 0.05f, true);
   tensor::Tensor x = tensor::Tensor::Randn({16, 48}, &rng);
+  nn::BatchNorm1d bn(32);
+  bn.SetTraining(true);
 
   auto step = [&]() {
     w1.ZeroGrad();
     w2.ZeroGrad();
-    tensor::Tensor h = tensor::Relu(tensor::MatMul(x, w1));
+    for (tensor::Tensor& p : bn.Parameters()) p.ZeroGrad();
+    tensor::Tensor h = tensor::Relu(bn.Forward(tensor::MatMul(x, w1)));
     tensor::Tensor loss =
         tensor::MeanAll(tensor::Square(tensor::MatMul(h, w2)));
     loss.Backward();
