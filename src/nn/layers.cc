@@ -29,9 +29,7 @@ Linear::Linear(int64_t in_features, int64_t out_features, util::Rng* rng,
 Tensor Linear::Forward(const Tensor& input) {
   EDSR_CHECK_EQ(input.dim(), 2) << "Linear expects (n, in) input";
   EDSR_CHECK_EQ(input.shape()[1], in_features_);
-  Tensor out = tensor::MatMul(input, weight_);
-  if (bias_.defined()) out = out + bias_;
-  return out;
+  return tensor::Linear(input, weight_, bias_);
 }
 
 // ---- Conv2dLayer --------------------------------------------------------------
