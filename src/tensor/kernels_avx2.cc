@@ -38,15 +38,30 @@ constexpr int64_t kMc = 96;   // multiple of kMr
 constexpr int64_t kKc = 256;
 constexpr int64_t kNc = 512;  // multiple of kNr
 
-// C(mr_eff x nr_eff) += Ap panel * Bp panel over depth kc. The 12
-// accumulators are named (not an array): GCC does not scalarize a
-// runtime-indexed __m256 array, which would spill every FMA to the stack.
-// The packs are zero-padded so padded lanes produce exact zeros (or NaN
-// from 0 * inf — those lanes are never written back, matching the scalar
-// tile).
-EDSR_AVX2 void MicroKernel6x16(int64_t kc, const float* ap, const float* bp,
+// C(mr_eff x nr_eff) += op(A) block * op(B) block over depth kc. Element
+// (ir, p) of the A block is a[ir * a_rs + p * a_cs] and row p of the B block
+// is the kNr floats at b + p * b_rs: a packed A panel is the strides
+// (1, kMr), a packed B panel b_rs = kNr, and the unpacked path passes the
+// operands' own strides. Rows past mr_eff re-read row mr_eff - 1 (clamped,
+// so no load leaves the operand) and are never written back; columns past
+// nr_eff come from the zero-padded B pack (the unpacked path only runs full
+// panels). The 12 accumulators are named (not an array): GCC does not
+// scalarize a runtime-indexed __m256 array, which would spill every FMA to
+// the stack. Each element is one FMA chain from zero in p order, added once
+// into C.
+EDSR_AVX2 void MicroKernel6x16(int64_t kc, const float* a, int64_t a_rs,
+                               int64_t a_cs, const float* b, int64_t b_rs,
                                int64_t mr_eff, int64_t nr_eff, float* c,
                                int64_t ldc) {
+  auto row = [&](int64_t ir) {
+    return a + (ir < mr_eff ? ir : mr_eff - 1) * a_rs;
+  };
+  const float* a0 = row(0);
+  const float* a1 = row(1);
+  const float* a2 = row(2);
+  const float* a3 = row(3);
+  const float* a4 = row(4);
+  const float* a5 = row(5);
   __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
   __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
   __m256 c20 = _mm256_setzero_ps(), c21 = _mm256_setzero_ps();
@@ -54,25 +69,25 @@ EDSR_AVX2 void MicroKernel6x16(int64_t kc, const float* ap, const float* bp,
   __m256 c40 = _mm256_setzero_ps(), c41 = _mm256_setzero_ps();
   __m256 c50 = _mm256_setzero_ps(), c51 = _mm256_setzero_ps();
   for (int64_t p = 0; p < kc; ++p) {
-    __m256 b0 = _mm256_loadu_ps(bp + p * kNr);
-    __m256 b1 = _mm256_loadu_ps(bp + p * kNr + 8);
-    const float* arow = ap + p * kMr;
-    __m256 av = _mm256_broadcast_ss(arow + 0);
+    __m256 b0 = _mm256_loadu_ps(b + p * b_rs);
+    __m256 b1 = _mm256_loadu_ps(b + p * b_rs + 8);
+    int64_t ap = p * a_cs;
+    __m256 av = _mm256_broadcast_ss(a0 + ap);
     c00 = _mm256_fmadd_ps(av, b0, c00);
     c01 = _mm256_fmadd_ps(av, b1, c01);
-    av = _mm256_broadcast_ss(arow + 1);
+    av = _mm256_broadcast_ss(a1 + ap);
     c10 = _mm256_fmadd_ps(av, b0, c10);
     c11 = _mm256_fmadd_ps(av, b1, c11);
-    av = _mm256_broadcast_ss(arow + 2);
+    av = _mm256_broadcast_ss(a2 + ap);
     c20 = _mm256_fmadd_ps(av, b0, c20);
     c21 = _mm256_fmadd_ps(av, b1, c21);
-    av = _mm256_broadcast_ss(arow + 3);
+    av = _mm256_broadcast_ss(a3 + ap);
     c30 = _mm256_fmadd_ps(av, b0, c30);
     c31 = _mm256_fmadd_ps(av, b1, c31);
-    av = _mm256_broadcast_ss(arow + 4);
+    av = _mm256_broadcast_ss(a4 + ap);
     c40 = _mm256_fmadd_ps(av, b0, c40);
     c41 = _mm256_fmadd_ps(av, b1, c41);
-    av = _mm256_broadcast_ss(arow + 5);
+    av = _mm256_broadcast_ss(a5 + ap);
     c50 = _mm256_fmadd_ps(av, b0, c50);
     c51 = _mm256_fmadd_ps(av, b1, c51);
   }
@@ -128,8 +143,38 @@ EDSR_AVX2 int32_t HSumI32(__m256i v) {
 
 void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
           int64_t n, bool trans_a, bool trans_b) {
+  // Small products with row-contiguous op(B) skip packing: the tile reads
+  // the operands in place. That needs full 16-column panels, and a depth
+  // within one kKc block, so each element is the same single FMA chain
+  // added once into C that the packed path computes (the two paths are
+  // bitwise equal). The size bound is one packed (kMc x kNc) block of C,
+  // where copying the operands costs about as much as multiplying them.
+  if (!trans_b && k <= kKc && n % kNr == 0 && m * n <= kMc * kNc) {
+    int64_t a_rs = trans_a ? 1 : k;
+    int64_t a_cs = trans_a ? m : 1;
+    // Row blocks of kMc as in the packed driver: disjoint C rows, so the
+    // split is exact at every thread count.
+    util::ParallelFor(0, (m + kMc - 1) / kMc, /*grain=*/1,
+                      [&](int64_t blk0, int64_t blk1) {
+                        int64_t i1 = std::min(m, blk1 * kMc);
+                        for (int64_t jp = 0; jp < n; jp += kNr) {
+                          for (int64_t i = blk0 * kMc; i < i1; i += kMr) {
+                            MicroKernel6x16(k, a + i * a_rs, a_rs, a_cs,
+                                            b + jp, n,
+                                            std::min(kMr, i1 - i), kNr,
+                                            c + i * n + jp, n);
+                          }
+                        }
+                      });
+    return;
+  }
   internal::GemmBlockedDriver<kMr, kNr, kMc, kKc, kNc>(
-      a, b, c, m, k, n, trans_a, trans_b, MicroKernel6x16);
+      a, b, c, m, k, n, trans_a, trans_b,
+      [](int64_t kc, const float* ap, const float* bp, int64_t mr_eff,
+         int64_t nr_eff, float* c_tile, int64_t ldc) {
+        MicroKernel6x16(kc, ap, 1, kMr, bp, kNr, mr_eff, nr_eff, c_tile,
+                        ldc);
+      });
 }
 
 EDSR_AVX2 void Axpy(int64_t n, float alpha, const float* x, float* y) {
