@@ -120,11 +120,12 @@ TEST(Arena, StatsCountersTrackActivity) {
 
 TEST(Arena, SteadyStateTrainStepIsHeapAllocationFree) {
   // The acceptance criterion for the arena: once buffer sizes have been seen
-  // (warmup), a full forward/backward train step (BatchNorm included)
-  // acquires every tensor buffer, grad buffer, and packing scratch from the
-  // arena — zero pool misses and zero fresh bump blocks.
+  // (warmup), a full forward/backward train step (Linear and BatchNorm
+  // included) acquires every tensor buffer, grad buffer, and packing scratch
+  // from the arena — zero pool misses and zero fresh bump blocks.
   util::Rng rng(0);
   tensor::Tensor w1 = tensor::Tensor::Randn({48, 32}, &rng, 0, 0.05f, true);
+  tensor::Tensor b1 = tensor::Tensor::Randn({32}, &rng, 0, 0.05f, true);
   tensor::Tensor w2 = tensor::Tensor::Randn({32, 16}, &rng, 0, 0.05f, true);
   tensor::Tensor x = tensor::Tensor::Randn({16, 48}, &rng);
   nn::BatchNorm1d bn(32);
@@ -132,9 +133,11 @@ TEST(Arena, SteadyStateTrainStepIsHeapAllocationFree) {
 
   auto step = [&]() {
     w1.ZeroGrad();
+    b1.ZeroGrad();
     w2.ZeroGrad();
     for (tensor::Tensor& p : bn.Parameters()) p.ZeroGrad();
-    tensor::Tensor h = tensor::Relu(bn.Forward(tensor::MatMul(x, w1)));
+    tensor::Tensor h =
+        tensor::Relu(bn.Forward(tensor::Linear(x, w1, b1)));
     tensor::Tensor loss =
         tensor::MeanAll(tensor::Square(tensor::MatMul(h, w2)));
     loss.Backward();

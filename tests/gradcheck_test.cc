@@ -4,6 +4,7 @@
 // rewrote every backward closure).
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -167,6 +168,27 @@ TEST(Gradcheck, NegReluAbsLeakyRelu) {
       [&] { return WeightedSum(tensor::LeakyRelu(a, 0.1f), 33); }, {a});
 }
 
+TEST(Gradcheck, ReluBackwardPassesUpstreamGradOnlyWherePositive) {
+  // x.grad is gy exactly where x > 0 and exactly 0 elsewhere: an inf or NaN
+  // upstream grad at x <= 0 contributes 0 (a 0/1 mask multiply would give
+  // NaN there).
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Tensor x = Tensor::FromVector({1.5f, -2.0f, 0.0f, -0.0f, 3.0f, -1.0f,
+                                 -4.0f, 0.25f},
+                                {2, 4}, /*requires_grad=*/true);
+  const std::vector<float> gy = {0.7f, inf, -inf, nan, -1.25f, nan, 2.0f, inf};
+  tensor::SumAll(tensor::Relu(x) * Tensor::FromVector(gy, {2, 4}))
+      .Backward();
+  const std::vector<float>& gx = x.grad();
+  for (int64_t i = 0; i < x.numel(); ++i) {
+    float expected = x.data()[i] > 0.0f ? gy[i] : 0.0f;
+    EXPECT_EQ(std::memcmp(&gx[i], &expected, sizeof(float)), 0)
+        << "element " << i << ": x=" << x.data()[i] << " gy=" << gy[i]
+        << " gx=" << gx[i];
+  }
+}
+
 TEST(Gradcheck, ExpLogSqrt) {
   util::Rng rng(6);
   Tensor a = RandomTensor({2, 4}, &rng);
@@ -230,6 +252,68 @@ TEST(Gradcheck, MatMulTranspose) {
                        {a, b});
   ExpectGradientsMatch([&] { return WeightedSum(tensor::Transpose(a), 51); },
                        {a});
+}
+
+TEST(Gradcheck, LinearWithAndWithoutBias) {
+  util::Rng rng(13);
+  Tensor x = RandomTensor({5, 4}, &rng);
+  Tensor w = RandomTensor({4, 3}, &rng);
+  Tensor b = RandomTensor({3}, &rng);
+  ExpectGradientsMatch(
+      [&] { return WeightedSum(tensor::Linear(x, w, b), 52); }, {x, w, b});
+  ExpectGradientsMatch(
+      [&] { return WeightedSum(tensor::Linear(x, w, Tensor()), 53); },
+      {x, w});
+}
+
+TEST(Gradcheck, LinearMatchesMatMulPlusBiasBitwise) {
+  // tensor::Linear must round exactly like the two-node graph it replaced,
+  // MatMul(x, W) + b, including gradients accumulated across several uses
+  // of the same W and b in one graph (as the two views and the replay batch
+  // of a train step do). Widths straddle the 16-column AVX2 panels.
+  struct Case {
+    int64_t rows, in, out;
+  };
+  const std::vector<Case> cases = {{16, 24, 32}, {7, 40, 64}, {33, 17, 20}};
+  util::Rng rng(41);
+  for (const Case& c : cases) {
+    Tensor x1 = RandomTensor({c.rows, c.in}, &rng);
+    Tensor x2 = RandomTensor({c.rows + 3, c.in}, &rng);
+    Tensor w = RandomTensor({c.in, c.out}, &rng);
+    Tensor b = RandomTensor({c.out}, &rng);
+    std::string label = std::to_string(c.rows) + "x" + std::to_string(c.in) +
+                        "x" + std::to_string(c.out);
+    for (bool with_bias : {true, false}) {
+      Tensor bias = with_bias ? b : Tensor();
+      auto run = [&](bool fused) {
+        for (Tensor t : {x1, x2, w, b}) t.ZeroGrad();
+        auto affine = [&](const Tensor& x) {
+          if (fused) return tensor::Linear(x, w, bias);
+          Tensor y = tensor::MatMul(x, w);
+          return with_bias ? y + bias : y;
+        };
+        Tensor y1 = affine(x1);
+        Tensor y2 = affine(x2);
+        (WeightedSum(y1, 86) + WeightedSum(y2, 87)).Backward();
+        std::vector<std::vector<float>> result = {
+            y1.data(), y2.data(), x1.grad(), x2.grad(), w.grad()};
+        if (with_bias) result.push_back(b.grad());
+        return result;
+      };
+      const std::vector<std::vector<float>> ref = run(false);
+      const std::vector<std::vector<float>> got = run(true);
+      const char* names[] = {"out 1", "out 2", "grad x1", "grad x2",
+                             "grad W", "grad b"};
+      ASSERT_EQ(got.size(), ref.size());
+      for (size_t i = 0; i < ref.size(); ++i) {
+        ASSERT_EQ(got[i].size(), ref[i].size()) << label << " " << names[i];
+        EXPECT_EQ(std::memcmp(got[i].data(), ref[i].data(),
+                              ref[i].size() * sizeof(float)),
+                  0)
+            << label << (with_bias ? " bias " : " no bias ") << names[i];
+      }
+    }
+  }
 }
 
 TEST(Gradcheck, ReshapeNarrow) {

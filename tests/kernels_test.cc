@@ -425,14 +425,40 @@ void ApplyConfig(const DispatchConfig& config) {
   util::ThreadPool::Global().SetNumThreadsForTesting(config.threads);
 }
 
+// The AVX2 tier's order contract for k <= 256 (one depth block): each
+// element is a single FMA chain from 0 over p, added once into C.
+void FmaChainGemm(const std::vector<float>& a, const std::vector<float>& b,
+                  std::vector<float>* c, int64_t m, int64_t k, int64_t n,
+                  bool trans_a, bool trans_b) {
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (int64_t p = 0; p < k; ++p) {
+        float av = trans_a ? a[p * m + i] : a[i * k + p];
+        float bv = trans_b ? b[j * k + p] : b[p * n + j];
+        acc = std::fma(av, bv, acc);
+      }
+      (*c)[i * n + j] += acc;
+    }
+  }
+}
+
 TEST(KernelsDispatch, GemmEveryTierMatchesNaiveAndThreadsAreBitIdentical) {
   DispatchConfigGuard guard;
   util::Rng rng(31);
   // Odd sizes straddling both register tiles (scalar 4x8, AVX2 6x16) and
-  // the cache blocks, plus a square size past the packing boundaries.
+  // the cache blocks, plus a square size past the packing boundaries. The
+  // AVX2 tier runs small products with row-contiguous op(B) on unpacked
+  // operands (k <= 256, n % 16 == 0, m * n <= 96 * 512); the shapes cover
+  // both sides of that bound: every m below and around the 6-row tile,
+  // train-step shapes, m * n just past the bound, n not a multiple of 16,
+  // k at the depth block, and (via the loops) trans_a and trans_b.
   struct Shape { int64_t m, k, n; };
-  const Shape shapes[] = {{1, 1, 1},   {5, 3, 17},   {23, 65, 9},
-                          {97, 31, 130}, {64, 300, 48}, {129, 129, 129}};
+  std::vector<Shape> shapes = {{1, 1, 1},     {5, 3, 17},     {23, 65, 9},
+                               {97, 31, 130}, {64, 300, 48},  {129, 129, 129},
+                               {32, 64, 64},  {192, 32, 64},  {97, 40, 512},
+                               {12, 40, 24},  {16, 256, 32},  {96, 20, 512}};
+  for (int64_t m = 1; m <= 7; ++m) shapes.push_back({m, 20, 32});
   for (const Shape& shape : shapes) {
     for (bool ta : {false, true}) {
       for (bool tb : {false, true}) {
@@ -443,6 +469,8 @@ TEST(KernelsDispatch, GemmEveryTierMatchesNaiveAndThreadsAreBitIdentical) {
         NaiveGemm(a, b, &expected, shape.m, shape.k, shape.n, ta, tb,
                   /*accumulate=*/true);
         const float tol = 1e-4f * static_cast<float>(shape.k);
+        std::vector<float> fma_chain = seed_c;
+        FmaChainGemm(a, b, &fma_chain, shape.m, shape.k, shape.n, ta, tb);
         for (const DispatchConfig& config : AllDispatchConfigs()) {
           ApplyConfig(config);
           std::vector<float> actual = seed_c;
@@ -454,6 +482,13 @@ TEST(KernelsDispatch, GemmEveryTierMatchesNaiveAndThreadsAreBitIdentical) {
                 << " threads=" << config.threads << " m=" << shape.m
                 << " k=" << shape.k << " n=" << shape.n << " ta=" << ta
                 << " tb=" << tb << " i=" << i;
+          }
+          if (config.tier == simd::Tier::kAvx2 && shape.k <= 256) {
+            ASSERT_EQ(0, std::memcmp(fma_chain.data(), actual.data(),
+                                     actual.size() * sizeof(float)))
+                << "avx2 threads=" << config.threads << " m=" << shape.m
+                << " k=" << shape.k << " n=" << shape.n << " ta=" << ta
+                << " tb=" << tb << " broke the one-FMA-chain order";
           }
           if (config.threads == 1) continue;
           // Bit-identical to the same tier at 1 thread: the macro-panel
