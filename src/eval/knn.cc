@@ -33,19 +33,18 @@ KnnClassifier::KnnClassifier(RepresentationMatrix bank,
 }
 
 int64_t KnnClassifier::VoteTopK(const float* sims) const {
-  std::vector<std::pair<float, int64_t>> ranked(bank_.n);
-  for (int64_t i = 0; i < bank_.n; ++i) ranked[i] = {sims[i], labels_[i]};
+  tensor::arena::Scope scope;
   int64_t k = std::min(options_.k, bank_.n);
-  std::partial_sort(ranked.begin(), ranked.begin() + k, ranked.end(),
-                    [](const auto& a, const auto& b) { return a.first > b.first; });
+  int64_t* top = tensor::arena::AllocInt64(k);
+  tensor::kernels::TopK(sims, bank_.n, k, top);
 
-  // Exponentially weighted vote among the top-k.
-  std::vector<double> votes(options_.num_classes, 0.0);
+  // Exponentially weighted vote among the top-k, in rank order.
+  double* votes = tensor::arena::AllocDoubles(options_.num_classes);
+  std::fill(votes, votes + options_.num_classes, 0.0);
   for (int64_t i = 0; i < k; ++i) {
-    votes[ranked[i].second] += std::exp(ranked[i].first / options_.temperature);
+    votes[labels_[top[i]]] += std::exp(sims[top[i]] / options_.temperature);
   }
-  return static_cast<int64_t>(
-      std::max_element(votes.begin(), votes.end()) - votes.begin());
+  return std::max_element(votes, votes + options_.num_classes) - votes;
 }
 
 int64_t KnnClassifier::Predict(const float* representation) const {

@@ -34,6 +34,10 @@ class KnnClassifier {
  private:
   // Exponentially weighted top-k vote over one row of cosine similarities
   // against the bank. Shared by Predict and the batched Evaluate path.
+  // The top k come from tensor::kernels::TopK: a tie at the k-th similarity
+  // goes to the lower bank index, so the vote is a function of the row
+  // alone (equal across SIMD tiers and thread counts). Equal vote totals go
+  // to the lower class id.
   int64_t VoteTopK(const float* sims) const;
 
   RepresentationMatrix bank_;  // rows L2-normalized at construction

@@ -229,6 +229,19 @@ void NormalizeL2(int64_t n, float* x, float eps) {
   Scale(n, inv, x);
 }
 
+void TopK(const float* x, int64_t n, int64_t k, int64_t* index) {
+  EDSR_CHECK(k >= 0 && k <= n) << "TopK k=" << k << " n=" << n;
+  if (k == 0) return;
+  if (UseAvx2()) {
+    avx2::TopK(x, n, k, index);
+    return;
+  }
+  int64_t count = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    internal::TopKOffer(x, i, k, index, &count);
+  }
+}
+
 void ReluBackward(int64_t n, const float* x, const float* gy, float* gx) {
   for (int64_t i = 0; i < n; ++i) {
     float g = gy[i];

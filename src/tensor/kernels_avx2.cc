@@ -6,6 +6,8 @@
 // through the simd::ActiveTier() dispatch in kernels.cc.
 #include "src/tensor/kernels_internal.h"
 
+#include <limits>
+
 #include "src/util/check.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -293,6 +295,78 @@ EDSR_AVX2 void PairwiseCombine(int64_t m, float ni, const float* nb,
   }
 }
 
+// Pass 1 takes the max of each full 32-wide chunk, ignoring NaNs. The k
+// chunks with the largest maxes hold k distinct entries >= the k-th largest
+// max, so no entry below that bound can make the list. When the bound is
+// -inf (or there are fewer than k chunks) it rules nothing out, since a NaN
+// may be needed to fill the list, and every lane is offered until it fills.
+// Pass 2 offers, in index order, only the lanes of each 8-wide block that
+// reach the bound while the list fills, and after that only those that
+// beat the current k-th value (or, while that is a NaN, every number). Each
+// skipped entry has k entries ranked above it, so the offered entries
+// contain the final list and TopKOffer over them ends on the same list as
+// the scalar tier's single pass.
+EDSR_AVX2 void TopK(const float* x, int64_t n, int64_t k, int64_t* index) {
+  constexpr int64_t kChunk = 32;
+  const float neg_inf = -std::numeric_limits<float>::infinity();
+  float bound = neg_inf;
+  int64_t chunks = n / kChunk;
+  if (chunks >= k) {
+    arena::Scope scope;
+    float* chunk_max = arena::AllocFloats(chunks);
+    for (int64_t c = 0; c < chunks; ++c) {
+      const float* p = x + c * kChunk;
+      // max_ps returns its second operand when either is NaN, so a NaN lane
+      // keeps the running max.
+      __m256 m = _mm256_set1_ps(neg_inf);
+      for (int64_t j = 0; j < kChunk; j += 8) {
+        m = _mm256_max_ps(_mm256_loadu_ps(p + j), m);
+      }
+      __m128 h = _mm_max_ps(_mm256_castps256_ps128(m),
+                            _mm256_extractf128_ps(m, 1));
+      h = _mm_max_ps(h, _mm_movehl_ps(h, h));
+      h = _mm_max_ss(h, _mm_shuffle_ps(h, h, 1));
+      chunk_max[c] = _mm_cvtss_f32(h);
+    }
+    // index[] doubles as scratch for the chunk ranking; pass 2 rewrites it.
+    int64_t count = 0;
+    for (int64_t c = 0; c < chunks; ++c) {
+      internal::TopKOffer(chunk_max, c, k, index, &count);
+    }
+    bound = chunk_max[index[k - 1]];
+  }
+
+  int64_t count = 0;
+  const bool has_bound = bound > neg_inf;
+  const __m256 bound_v = _mm256_set1_ps(bound);
+  __m256 kth_v = bound_v;  // x[index[k - 1]] once the list is full
+  bool kth_nan = false;
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m256 v = _mm256_loadu_ps(x + i);
+    int mask;
+    if (count == k) {
+      mask = _mm256_movemask_ps(kth_nan ? _mm256_cmp_ps(v, v, _CMP_ORD_Q)
+                                        : _mm256_cmp_ps(v, kth_v, _CMP_GT_OQ));
+    } else {
+      mask = has_bound ? _mm256_movemask_ps(
+                             _mm256_cmp_ps(v, bound_v, _CMP_GE_OQ))
+                       : 0xFF;
+    }
+    if (mask == 0) continue;
+    do {
+      internal::TopKOffer(x, i + __builtin_ctz(mask), k, index, &count);
+      mask &= mask - 1;
+    } while (mask != 0);
+    if (count == k) {
+      float kth = x[index[k - 1]];
+      kth_nan = kth != kth;
+      kth_v = _mm256_set1_ps(kth);
+    }
+  }
+  for (; i < n; ++i) internal::TopKOffer(x, i, k, index, &count);
+}
+
 // Widens one 16-byte int8 chunk to int16 lanes.
 EDSR_AVX2 inline __m256i WidenS8(const int8_t* p) {
   return _mm256_cvtepi8_epi16(
@@ -415,6 +489,7 @@ double Dot(int64_t, const float*, const float*) {
 void PairwiseCombine(int64_t, float, const float*, float*) {
   EDSR_AVX2_STUB();
 }
+void TopK(const float*, int64_t, int64_t, int64_t*) { EDSR_AVX2_STUB(); }
 void GemmInt8(const int8_t*, const int8_t*, int32_t*, int64_t, int64_t,
               int64_t) {
   EDSR_AVX2_STUB();

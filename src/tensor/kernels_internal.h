@@ -110,6 +110,34 @@ void GemmBlockedDriver(const float* a, const float* b, float* c, int64_t m,
   }
 }
 
+// True when value v ranks before w in TopK's order, for v at a larger index
+// than w: v must be strictly greater (equal values keep index order), and
+// every number beats a NaN.
+inline bool TopKBeats(float v, float w) {
+  return v > w || (w != w && v == v);
+}
+
+// One step of TopK's insertion pass: offers x[i] to the sorted list
+// index[0..*count) of capacity k. Offers must come in increasing i, so a
+// newcomer loses every tie. The scalar tier offers every element; the AVX2
+// tier offers a superset of the final list, in index order, and gets the
+// same list.
+inline void TopKOffer(const float* x, int64_t i, int64_t k, int64_t* index,
+                      int64_t* count) {
+  float v = x[i];
+  int64_t pos = *count;
+  if (pos == k) {
+    if (!TopKBeats(v, x[index[k - 1]])) return;
+    --pos;  // drops the last entry
+  } else {
+    ++*count;
+  }
+  for (; pos > 0 && TopKBeats(v, x[index[pos - 1]]); --pos) {
+    index[pos] = index[pos - 1];
+  }
+  index[pos] = i;
+}
+
 }  // namespace edsr::tensor::kernels::internal
 
 // AVX2/FMA implementations (kernels_avx2.cc). Every function is compiled
@@ -130,6 +158,8 @@ double Dot(int64_t n, const float* x, const float* y);
 // out[j] = max(0, ni + nb[j] - 2 * out[j]) for j in [0, m) — the combine
 // loop of PairwiseSqDist.
 void PairwiseCombine(int64_t m, float ni, const float* nb, float* out);
+// kernels::TopK with the two-pass chunk-max bound (requires 0 < k <= n).
+void TopK(const float* x, int64_t n, int64_t k, int64_t* index);
 // c[i*n + j] = sum_p a[i*k + p] * bt[j*k + p] with int32 accumulation.
 // k must be a multiple of 32 (callers zero-pad; exact under symmetric
 // quantization since the pad contributes 0 * 0 terms).

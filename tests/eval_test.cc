@@ -12,6 +12,8 @@
 #include "src/eval/metrics.h"
 #include "src/eval/representations.h"
 #include "src/tensor/grad_mode.h"
+#include "src/util/rng.h"
+#include "src/util/threadpool.h"
 
 namespace edsr {
 namespace {
@@ -77,6 +79,56 @@ TEST(Knn, KLargerThanBankIsClamped) {
   KnnClassifier knn(bank, {0, 1}, options);
   float q[] = {1.0f, 0.0f};
   EXPECT_EQ(knn.Predict(q), 0);  // similarity weighting breaks the tie
+}
+
+TEST(Knn, TiesAtTheKthSimilarityGoToTheLowerBankIndex) {
+  // Rows 0 and 1 are the same direction, so their similarities to any query
+  // are bitwise equal; with k = 1 the lower index decides the label.
+  RepresentationMatrix bank = MakeMatrix({0, 1, 0, 1, 1, 0}, 3, 2);
+  KnnOptions options;
+  options.k = 1;
+  options.num_classes = 3;
+  float q[] = {0.1f, 1.0f};
+  EXPECT_EQ(KnnClassifier(bank, {2, 1, 0}, options).Predict(q), 2);
+  EXPECT_EQ(KnnClassifier(bank, {1, 2, 0}, options).Predict(q), 1);
+  RepresentationMatrix queries = MakeMatrix({0.1f, 1.0f}, 1, 2);
+  EXPECT_EQ(KnnClassifier(bank, {2, 1, 0}, options).Evaluate(queries, {2}),
+            1.0);
+}
+
+TEST(Knn, EvaluateIsEqualAtOneAndFourThreads) {
+  // Class-clustered rows, enough queries to split into many vote blocks.
+  util::Rng rng(17);
+  const int64_t d = 16, classes = 5, n_bank = 300, n_query = 200;
+  std::vector<float> centers(classes * d);
+  for (float& c : centers) c = rng.Normal();
+  auto sample = [&](int64_t n, std::vector<int64_t>* labels) {
+    RepresentationMatrix m = MakeMatrix(std::vector<float>(n * d), n, d);
+    for (int64_t i = 0; i < n; ++i) {
+      int64_t c = rng.UniformInt(0, classes - 1);
+      labels->push_back(c);
+      for (int64_t j = 0; j < d; ++j) {
+        m.values[i * d + j] = centers[c * d + j] + 0.8f * rng.Normal();
+      }
+    }
+    return m;
+  };
+  std::vector<int64_t> bank_labels, query_labels;
+  RepresentationMatrix bank = sample(n_bank, &bank_labels);
+  RepresentationMatrix queries = sample(n_query, &query_labels);
+  KnnOptions options;
+  options.k = 10;
+  options.num_classes = classes;
+  KnnClassifier knn(bank, bank_labels, options);
+  util::ThreadPool& pool = util::ThreadPool::Global();
+  const int saved = pool.NumThreads();
+  pool.SetNumThreadsForTesting(1);
+  double serial = knn.Evaluate(queries, query_labels);
+  pool.SetNumThreadsForTesting(4);
+  double parallel = knn.Evaluate(queries, query_labels);
+  pool.SetNumThreadsForTesting(saved);
+  EXPECT_EQ(serial, parallel);
+  EXPECT_GT(serial, 0.5);  // the clusters are separable enough to vote on
 }
 
 TEST(ExtractRepresentations, ShapesAndDeterminism) {
