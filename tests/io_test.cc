@@ -57,6 +57,53 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   EXPECT_EQ(part, whole);
 }
 
+// The bytewise table CRC the slicing-by-8 loop must reproduce.
+uint32_t BytewiseCrc32(const uint8_t* bytes, size_t size, uint32_t seed) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
+    }
+    table[i] = crc;
+  }
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < size; ++i) {
+    crc = table[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
+  }
+  return ~crc;
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  std::vector<uint8_t> data(4100 + 8);
+  uint32_t state = 12345;
+  for (uint8_t& b : data) {
+    state = state * 1664525u + 1013904223u;
+    b = static_cast<uint8_t>(state >> 24);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 4100; ++len) {
+      ASSERT_EQ(io::Crc32(data.data() + offset, len),
+                BytewiseCrc32(data.data() + offset, len, 0))
+          << "offset=" << offset << " len=" << len;
+    }
+  }
+}
+
+TEST(Crc32, SeedChainsAtEverySplitPoint) {
+  std::vector<uint8_t> data(100);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 37 + 11);
+  }
+  const uint32_t whole = io::Crc32(data.data(), data.size());
+  EXPECT_EQ(whole, BytewiseCrc32(data.data(), data.size(), 0));
+  for (size_t split = 0; split <= data.size(); ++split) {
+    uint32_t head = io::Crc32(data.data(), split);
+    EXPECT_EQ(io::Crc32(data.data() + split, data.size() - split, head), whole)
+        << "split=" << split;
+  }
+}
+
 TEST(Crc32, DetectsSingleBitFlip) {
   std::vector<uint8_t> bytes(64, 0xA5);
   uint32_t clean = io::Crc32(bytes.data(), bytes.size());
