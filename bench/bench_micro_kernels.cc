@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels underneath the
 // experiments: raw kernels entry points, matmul, conv2d, no-grad vs grad-on
-// encoder forwards, selector scoring, KNN eval.
+// encoder forwards, selector scoring, KNN eval, CRC-32.
 //
 // Emit machine-readable results with:
 //   ./bench_micro_kernels --benchmark_out_format=json
@@ -12,6 +12,7 @@
 #include "bench/micro_main.h"
 #include "src/cl/selection.h"
 #include "src/eval/knn.h"
+#include "src/io/crc32.h"
 #include "src/nn/quant.h"
 #include "src/ssl/encoder.h"
 #include "src/tensor/arena.h"
@@ -395,6 +396,52 @@ void BM_KnnEvaluate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KnnEvaluate)->Arg(120)->Arg(1200);
+
+// The stream probe's shape: 1000 queries voting over a 1200-row bank of
+// class-clustered 32-d rows (10 classes, k = 10), so the per-query top-k
+// vote weighs as it does in a probe, next to the one PairwiseSqDist GEMM.
+void BM_KnnEvaluateProbe(benchmark::State& state) {
+  const int64_t d = 32, classes = 10;
+  std::vector<float> centers = RandomBuffer(classes * d, 8);
+  util::Rng rng(9);
+  auto clustered = [&](int64_t n, std::vector<int64_t>* labels) {
+    eval::RepresentationMatrix reps = RandomReps(n, d, 10 + n);
+    for (int64_t i = 0; i < n; ++i) {
+      int64_t c = rng.UniformInt(0, classes - 1);
+      labels->push_back(c);
+      for (int64_t j = 0; j < d; ++j) {
+        float& v = reps.values[i * d + j];
+        v = centers[c * d + j] + 0.7f * v;
+      }
+    }
+    return reps;
+  };
+  std::vector<int64_t> bank_labels, query_labels;
+  eval::RepresentationMatrix bank = clustered(1200, &bank_labels);
+  eval::RepresentationMatrix queries = clustered(1000, &query_labels);
+  eval::KnnOptions options;
+  options.k = 10;
+  options.num_classes = classes;
+  eval::KnnClassifier knn(bank, bank_labels, options);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(knn.Evaluate(queries, query_labels));
+  }
+}
+BENCHMARK(BM_KnnEvaluateProbe)->Name("BM_KnnEvaluate/1000x1200");
+
+// CRC-32 over 1 MiB: the checksum every checkpoint save/load and journal
+// frame pays per byte.
+void BM_Crc32(benchmark::State& state) {
+  std::vector<uint8_t> bytes(1 << 20);
+  util::Rng rng(12);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(io::Crc32(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc32)->Name("BM_Crc32/1MiB");
 
 }  // namespace
 
