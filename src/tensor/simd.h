@@ -1,7 +1,7 @@
 // SIMD dispatch: which micro-kernel tier the kernels layer runs.
 //
-// The blocked GEMM, PairwiseSqDist, and the BLAS-1/reduction loops in
-// kernels.cc each have two implementations: the portable scalar tile
+// The blocked GEMM, PairwiseSqDist, TopK, and the BLAS-1/reduction loops
+// in kernels.cc each have two implementations: the portable scalar tile
 // (bit-identical to the pre-SIMD engine) and an AVX2/FMA tile compiled with
 // per-function target attributes (kernels_avx2.cc), so no translation unit
 // is built with global -mavx2 and nothing AVX2-coded can leak into code
