@@ -1,5 +1,12 @@
 #include "src/io/container.h"
 
+#include <fcntl.h>
+#include <sys/uio.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -15,6 +22,30 @@ constexpr size_t kHeaderSize = 8 + 4 + 4 + 8;  // magic | version | count | tabl
 // Smallest table entry: name length (u64), a non-empty name, offset (u64),
 // size (u64), crc (u32).
 constexpr size_t kMinSectionEntrySize = 8 + 1 + 8 + 8 + 4;
+
+// Writes every byte of `parts` in order with as few writev calls as the
+// kernel allows, resuming after short writes and EINTR. Consumes `parts`.
+bool WriteAll(int fd, std::vector<iovec>* parts) {
+  iovec* next = parts->data();
+  iovec* end = next + parts->size();
+  while (next != end) {
+    const int count =
+        static_cast<int>(std::min<ptrdiff_t>(end - next, IOV_MAX));
+    const ssize_t n = ::writev(fd, next, count);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;  // no entry is empty, so 0 is no progress
+    auto left = static_cast<size_t>(n);
+    while (next != end && left >= next->iov_len) {
+      left -= next->iov_len;
+      ++next;
+    }
+    if (left > 0) {
+      next->iov_base = static_cast<uint8_t*>(next->iov_base) + left;
+      next->iov_len -= left;
+    }
+  }
+  return true;
+}
 }  // namespace
 
 void ContainerWriter::AddSection(const std::string& name,
@@ -32,42 +63,44 @@ util::Status ContainerWriter::Finish() {
   EDSR_CHECK(!finished_) << "Finish called twice";
   finished_ = true;
 
-  BufferWriter out;
-  out.WriteBytes(kContainerMagic, sizeof(kContainerMagic));
-  out.WriteU32(kContainerVersion);
-  out.WriteU32(static_cast<uint32_t>(sections_.size()));
-  uint64_t offset = kHeaderSize;
-  for (const Section& s : sections_) offset += s.payload.size();
-  out.WriteU64(offset);  // table offset: right after the payloads
+  // Only the header and the table are assembled; the payloads go to the
+  // file straight from the sections, each CRC'd in place.
+  uint64_t table_offset = kHeaderSize;
+  for (const Section& s : sections_) table_offset += s.payload.size();
+  BufferWriter header;
+  header.WriteBytes(kContainerMagic, sizeof(kContainerMagic));
+  header.WriteU32(kContainerVersion);
+  header.WriteU32(static_cast<uint32_t>(sections_.size()));
+  header.WriteU64(table_offset);
 
-  std::vector<uint64_t> payload_offsets;
-  payload_offsets.reserve(sections_.size());
+  BufferWriter table;
   uint64_t cursor = kHeaderSize;
   for (const Section& s : sections_) {
-    payload_offsets.push_back(cursor);
-    out.WriteBytes(s.payload.data(), s.payload.size());
+    table.WriteString(s.name);
+    table.WriteU64(cursor);
+    table.WriteU64(s.payload.size());
+    table.WriteU32(Crc32(s.payload.data(), s.payload.size()));
     cursor += s.payload.size();
   }
-  for (size_t i = 0; i < sections_.size(); ++i) {
-    const Section& s = sections_[i];
-    out.WriteString(s.name);
-    out.WriteU64(payload_offsets[i]);
-    out.WriteU64(s.payload.size());
-    out.WriteU32(Crc32(s.payload.data(), s.payload.size()));
-  }
+
+  std::vector<iovec> parts;
+  parts.reserve(sections_.size() + 2);
+  auto add = [&parts](const std::vector<uint8_t>& bytes) {
+    if (bytes.empty()) return;
+    parts.push_back({const_cast<uint8_t*>(bytes.data()), bytes.size()});
+  };
+  add(header.bytes());
+  for (const Section& s : sections_) add(s.payload);
+  add(table.bytes());
 
   const std::string tmp = path_ + ".tmp";
-  {
-    std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
-    if (!file) return util::Status::IoError("cannot open " + tmp);
-    const std::vector<uint8_t>& bytes = out.bytes();
-    file.write(reinterpret_cast<const char*>(bytes.data()),
-               static_cast<std::streamsize>(bytes.size()));
-    file.flush();
-    if (!file) {
-      std::remove(tmp.c_str());
-      return util::Status::IoError("write failed for " + tmp);
-    }
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                        0666);
+  if (fd < 0) return util::Status::IoError("cannot open " + tmp);
+  const bool written = WriteAll(fd, &parts);
+  if (::close(fd) != 0 || !written) {
+    std::remove(tmp.c_str());
+    return util::Status::IoError("write failed for " + tmp);
   }
   if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
     std::remove(tmp.c_str());

@@ -12,7 +12,7 @@
 //                u64 payload offset | u64 payload size | u32 CRC-32
 //
 // Guarantees:
-//   * Writes are atomic: ContainerWriter streams into "<path>.tmp" and
+//   * Writes are atomic: ContainerWriter writes "<path>.tmp" and
 //     renames over the target only in Finish(), so a crash mid-write never
 //     clobbers the previous checkpoint and readers never observe a partial
 //     file under the final name.
@@ -49,8 +49,10 @@ class ContainerWriter {
     AddSection(name, payload->TakeBytes());
   }
 
-  // Assembles the container, writes "<path>.tmp", then atomically renames it
-  // over `path`. After Finish() the writer must not be reused.
+  // Writes "<path>.tmp" (header, then each section's payload from its own
+  // buffer, then the table, in one writev where the kernel allows; nothing
+  // is copied into a whole-file buffer), then atomically renames it over
+  // `path`. After Finish() the writer must not be reused.
   util::Status Finish();
 
  private:
