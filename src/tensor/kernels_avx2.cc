@@ -287,7 +287,9 @@ EDSR_AVX2 void PairwiseCombine(int64_t m, float ni, const float* nb,
   for (; j + 8 <= m; j += 8) {
     __m256 v = _mm256_fnmadd_ps(two, _mm256_loadu_ps(out + j),
                                 _mm256_add_ps(niv, _mm256_loadu_ps(nb + j)));
-    _mm256_storeu_ps(out + j, _mm256_max_ps(zero, v));
+    // max_ps returns its second operand when either is NaN: zero here, as
+    // the scalar std::max(0.0f, v) and the tail below give.
+    _mm256_storeu_ps(out + j, _mm256_max_ps(v, zero));
   }
   for (; j < m; ++j) {
     float v = ni + nb[j] - 2.0f * out[j];

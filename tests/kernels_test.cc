@@ -544,6 +544,40 @@ TEST(KernelsDispatch, PairwiseSqDistEveryTierMatchesAndThreadsBitIdentical) {
   }
 }
 
+// One NaN rule on every tier: a NaN distance is clamped to 0, the scalar
+// std::max(0.0f, v) result, whether it lands in an 8-wide AVX2 block or in
+// the tail. A NaN row of a poisons its output row, a NaN row of b its
+// column; b's NaN rows sit at j = 3 (first block) and j = 9 (tail, m = 11).
+TEST(KernelsDispatch, PairwiseSqDistNanDistanceIsZeroOnEveryTier) {
+  DispatchConfigGuard guard;
+  util::Rng rng(34);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const int64_t n = 5, m = 11, d = 7;
+  std::vector<float> a = RandomVec(n * d, &rng);
+  std::vector<float> b = RandomVec(m * d, &rng);
+  a[2 * d + 4] = nan;
+  b[3 * d + 0] = nan;
+  b[9 * d + 6] = nan;
+  for (const DispatchConfig& config : AllDispatchConfigs()) {
+    ApplyConfig(config);
+    std::vector<float> out(n * m, -1.0f);
+    kernels::PairwiseSqDist(a.data(), n, b.data(), m, d, out.data());
+    for (int64_t i = 0; i < n; ++i) {
+      for (int64_t j = 0; j < m; ++j) {
+        const float v = out[i * m + j];
+        if (i == 2 || j == 3 || j == 9) {
+          EXPECT_EQ(v, 0.0f) << "tier=" << simd::TierName(config.tier)
+                             << " threads=" << config.threads << " i=" << i
+                             << " j=" << j;
+        } else {
+          EXPECT_GT(v, 0.0f) << "tier=" << simd::TierName(config.tier)
+                             << " i=" << i << " j=" << j;
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelsDispatch, Blas1AndReductionsAgreeAcrossTiers) {
   DispatchConfigGuard guard;
   util::Rng rng(33);
