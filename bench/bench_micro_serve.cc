@@ -38,7 +38,6 @@ std::unique_ptr<serve::ServeHandle> MakeHandle(int64_t max_batch,
   serve::ServeOptions options;
   options.batcher.max_batch = max_batch;
   options.batcher.max_queue = 4096;
-  options.batcher.max_delay_us = 50;
   options.cache_capacity = cache_capacity;
   options.load.int8_serving = int8_serving;
   auto handle = std::make_unique<serve::ServeHandle>(options);
@@ -81,7 +80,7 @@ void AttachLatencyPercentiles(benchmark::State& state,
 // One iteration = one full batch round trip: Pause the worker, enqueue
 // `batch` distinct requests, Resume, and wait for every future. Pausing
 // first makes the coalescing deterministic (the worker wakes to a full
-// batch and never waits out max_delay_us for stragglers).
+// batch).
 void BM_ServeEmbed(benchmark::State& state) {
   const int64_t batch = state.range(0);
   // Cache off: this measures the miss path (batched forward + dispatch).

@@ -1,6 +1,5 @@
 #include "src/serve/batcher.h"
 
-#include <chrono>
 #include <utility>
 
 #include "src/obs/metrics.h"
@@ -18,7 +17,6 @@ MicroBatcher::MicroBatcher(SnapshotRegistry* registry,
   EDSR_CHECK(registry != nullptr);
   EDSR_CHECK_GT(options.max_batch, 0);
   EDSR_CHECK_GT(options.max_queue, 0);
-  EDSR_CHECK_GE(options.max_delay_us, 0);
   obs::MetricsRegistry::Global().RegisterCallbackGauge(
       "serve.queue_depth", [this] { return static_cast<double>(queue_depth()); });
   worker_ = std::thread([this] { WorkerLoop(); });
@@ -107,17 +105,8 @@ void MicroBatcher::WorkerLoop() {
       });
       continue;
     }
-    if (static_cast<int64_t>(queue_.size()) < options_.max_batch &&
-        options_.max_delay_us > 0) {
-      // Short batch: trade a bounded sliver of latency for a fuller GEMM.
-      cv_.wait_for(lock, std::chrono::microseconds(options_.max_delay_us),
-                   [this] {
-                     return !running_ || paused_ ||
-                            static_cast<int64_t>(queue_.size()) >=
-                                options_.max_batch;
-                   });
-      if (!running_ || paused_) continue;
-    }
+    // No straggler wait: the batch is whatever queued while the previous
+    // forward ran.
     std::vector<Pending> batch;
     while (!queue_.empty() &&
            static_cast<int64_t>(batch.size()) < options_.max_batch) {

@@ -1,20 +1,18 @@
 // Micro-batching request queue: coalesces concurrent embedding requests
 // into one batched forward.
 //
-// A batch-1 forward wastes the PR-3 blocked GEMM (the 128/1-vs-128/0 micro
+// A batch-1 forward wastes the blocked GEMM (the 128/1-vs-128/0 micro
 // kernels showed batched rows amortize packing); the batcher recovers the
-// batched regime under concurrent load with a classic max-batch / max-delay
-// admission policy:
+// batched regime under concurrent load without ever waiting for it:
 //
 //   * Submit() enqueues and returns a future. When the bounded queue is
 //     full it rejects with Status kOverloaded instead of growing or
 //     blocking — backpressure is explicit and the caller decides whether
 //     to retry.
-//   * A single worker thread drains the queue: it takes whatever is
-//     pending, and if the batch is still short of max_batch waits up to
-//     max_delay_us for stragglers before forwarding. Under load batches
-//     fill instantly and the delay never triggers; a lone request pays at
-//     most max_delay_us extra latency.
+//   * A single worker thread drains the queue: it forwards at once
+//     whatever is pending, up to max_batch rows. A batch is what queued
+//     while the previous forward ran, so batches grow with the load and an
+//     idle server adds no straggler wait to a lone request.
 //   * The worker resolves the current snapshot ONCE per batch, so every
 //     request in a batch is answered by exactly one model version — the
 //     invariant the hot-swap test asserts (old-or-new, never mixed).
@@ -50,9 +48,8 @@ struct EmbedResult {
 };
 
 struct BatcherOptions {
-  int64_t max_batch = 32;      // rows coalesced into one forward
-  int64_t max_queue = 256;     // pending requests beyond which Submit rejects
-  int64_t max_delay_us = 200;  // straggler wait when a batch is short
+  int64_t max_batch = 32;   // rows coalesced into one forward
+  int64_t max_queue = 256;  // pending requests beyond which Submit rejects
 };
 
 class MicroBatcher {

@@ -334,7 +334,6 @@ obs::Json TcpServer::StatusJson() {
   queue.Set("depth", handle_->batcher()->queue_depth());
   queue.Set("max_batch", handle_->batcher()->options().max_batch);
   queue.Set("max_queue", handle_->batcher()->options().max_queue);
-  queue.Set("max_delay_us", handle_->batcher()->options().max_delay_us);
   status.Set("queue", std::move(queue));
   obs::Json cache = obs::Json::Object();
   cache.Set("size", handle_->cache()->size());
