@@ -39,7 +39,6 @@
 #include "src/cl/factory.h"
 #include "src/cl/retrieval.h"
 #include "src/cl/selection.h"
-#include "src/core/edsr.h"
 #include "src/data/synthetic.h"
 #include "src/obs/exporter.h"
 #include "src/obs/run_record.h"
@@ -299,16 +298,13 @@ int main(int argc, char** argv) {
         context.replay_batch_size = 8;
         context.seed = seed;
         auto strategy = cl::MakeStrategy(method, context);
-        const auto* edsr_strategy =
-            dynamic_cast<const core::Edsr*>(strategy.get());
 
         stream::StreamRunOptions options;
         options.micro_batch = micro_batch;
         options.total_samples = total_samples;
         options.id_probe = &id_task;
         options.ood_probe = have_ood ? &ood_task : nullptr;
-        options.memory =
-            edsr_strategy != nullptr ? &edsr_strategy->memory() : nullptr;
+        options.memory = strategy->replay_memory();
         options.logger = logger.get();
         options.stream_spec = streams[s];
         options.trigger_spec = triggers[t];
@@ -333,10 +329,7 @@ int main(int argc, char** argv) {
                 << "[" << method << "] no usable stream checkpoint ("
                 << status.ToString() << "); starting fresh";
             strategy = cl::MakeStrategy(method, context);
-            edsr_strategy = dynamic_cast<const core::Edsr*>(strategy.get());
-            options.memory = edsr_strategy != nullptr
-                                 ? &edsr_strategy->memory()
-                                 : nullptr;
+            options.memory = strategy->replay_memory();
             bundle_result = stream::MakeStreamBundle(streams[s], seed);
             bundle = std::move(bundle_result).ValueOrDie();
           }

@@ -21,6 +21,7 @@ class Agem : public ContinualStrategy {
   explicit Agem(const StrategyContext& context);
 
   const MemoryBuffer& memory() const { return memory_; }
+  const MemoryBuffer* replay_memory() const override { return &memory_; }
   // How many updates were projected so far (diagnostics/tests).
   int64_t projections() const { return projections_; }
 

@@ -87,11 +87,10 @@ util::Status Cassle::LoadExtra(io::BufferReader* in) {
                                  "stores none");
   }
   if (has_teacher != 0) {
-    // Scratch rng: the fresh weights are immediately overwritten by the
+    // No rng: the zero weights are immediately overwritten by the
     // checkpointed state, and the strategy rng must not be perturbed —
     // the uninterrupted run did not draw from it here.
-    util::Rng scratch(0);
-    teacher_ = ssl::Encoder::Make(context_.encoder, &scratch);
+    teacher_ = ssl::Encoder::Make(context_.encoder, /*rng=*/nullptr);
     EDSR_RETURN_NOT_OK(teacher_->DeserializeState(in));
     teacher_->SetRequiresGrad(false);
     teacher_->SetTraining(false);
@@ -103,9 +102,8 @@ util::Status Cassle::LoadExtra(io::BufferReader* in) {
   EDSR_RETURN_NOT_OK(in->ReadU8(&has_projector));
   if (has_projector != 0) {
     int64_t d = context_.encoder.representation_dim;
-    util::Rng scratch(0);
-    distill_projector_ =
-        std::make_unique<nn::Mlp>(std::vector<int64_t>{d, d, d}, &scratch);
+    distill_projector_ = std::make_unique<nn::Mlp>(
+        std::vector<int64_t>{d, d, d}, /*rng=*/nullptr);
     EDSR_RETURN_NOT_OK(distill_projector_->DeserializeState(in));
   } else {
     distill_projector_.reset();

@@ -24,6 +24,7 @@ class Der : public ContinualStrategy {
   Der(const StrategyContext& context, const DerOptions& options = {});
 
   const MemoryBuffer& memory() const { return memory_; }
+  const MemoryBuffer* replay_memory() const override { return &memory_; }
   const RetrievalPolicy& retrieval() const { return *retrieval_; }
 
  protected:

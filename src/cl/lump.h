@@ -22,6 +22,7 @@ class Lump : public ContinualStrategy {
   Lump(const StrategyContext& context, const LumpOptions& options = {});
 
   const MemoryBuffer& memory() const { return memory_; }
+  const MemoryBuffer* replay_memory() const override { return &memory_; }
   const RetrievalPolicy& retrieval() const { return *retrieval_; }
 
  protected:

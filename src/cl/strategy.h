@@ -65,6 +65,10 @@ class ContinualStrategy {
   const StrategyContext& context() const { return context_; }
   int64_t increments_seen() const { return increments_seen_; }
   util::Rng* rng() { return &rng_; }
+  // The replay buffer of a memory-based strategy (EDSR, DER, LUMP, A-GEM),
+  // nullptr for one without (Finetune, SI, CaSSLe). Drift probes, buffer
+  // telemetry and the serving kNN bank read the buffer through this.
+  virtual const MemoryBuffer* replay_memory() const { return nullptr; }
 
   // ---- Telemetry ---------------------------------------------------------
   // Attaches a run-record sink (not owned; nullptr detaches). While attached,

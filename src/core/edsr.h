@@ -67,6 +67,7 @@ class Edsr : public cl::Cassle {
        std::unique_ptr<cl::DataSelector> selector, std::string name);
 
   const cl::MemoryBuffer& memory() const { return memory_; }
+  const cl::MemoryBuffer* replay_memory() const override { return &memory_; }
   const cl::DataSelector& selector() const { return *selector_; }
   const cl::RetrievalPolicy& retrieval() const { return *retrieval_; }
   const EdsrOptions& options() const { return options_; }

@@ -6,12 +6,12 @@
 #include <utility>
 
 #include "src/cl/factory.h"
-#include "src/core/edsr.h"
 #include "src/data/synthetic.h"
 #include "src/io/container.h"
 #include "src/obs/flight.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 #include "src/serve/trace_context.h"
 #include "src/stream/driver.h"
 #include "src/util/logging.h"
@@ -22,8 +22,9 @@ namespace edsr::daemon {
 namespace {
 
 // Daemon-checkpoint sub-format inside the io:: container ("daemon/..."
-// sections alongside the strategy's "strategy/..." sections, which is what
-// lets serve::LoadSnapshotPayload open the same file).
+// sections alongside the strategy's "strategy/..." sections, so
+// serve::LoadSnapshotPayload can open the same file, as serve_embeddings
+// and a serving process beside the daemon do).
 constexpr uint32_t kDaemonCheckpointVersion = 1;
 
 void WriteDaemonCycle(const DaemonCycleResult& cycle, io::BufferWriter* out) {
@@ -138,9 +139,7 @@ util::Status LearnServeDaemon::Start() {
     return util::Status::InvalidArgument("unknown strategy \"" +
                                          options_.strategy + "\"");
   }
-  const auto* edsr_strategy =
-      dynamic_cast<const core::Edsr*>(strategy_.get());
-  memory_ = edsr_strategy != nullptr ? &edsr_strategy->memory() : nullptr;
+  memory_ = strategy_->replay_memory();
 
   util::Result<std::unique_ptr<stream::CycleTrigger>> trigger =
       stream::TriggerRegistry::Global().Create(options_.trigger_spec);
@@ -195,11 +194,12 @@ util::Status LearnServeDaemon::Start() {
   RewriteMetricsFile();
 
   // Fresh starts pin the initial (untrained) state as the cycle-0 boundary
-  // checkpoint, so every serving snapshot — including the first — comes
-  // from a checkpoint file, and a kill before the first cycle restores the
-  // exact same state. An existing checkpoint is left byte-untouched.
+  // checkpoint, so a kill before the first cycle restores the exact same
+  // state, and every serving snapshot — the first included — is a state
+  // already on disk. An existing checkpoint is left byte-untouched; the
+  // strategy was just loaded from it, so the in-memory state is the file's.
   if (!restored) EDSR_RETURN_NOT_OK(SaveCheckpoint());
-  EDSR_RETURN_NOT_OK(handle_->LoadAndSwap(checkpoint_path()));
+  EDSR_RETURN_NOT_OK(SwapFromMemory());
 
   size_t cycles = 0;
   size_t pending = 0;
@@ -369,19 +369,16 @@ void LearnServeDaemon::CloseCycle(const std::string& cause) {
   current.buffer_entropy = stream::BufferCompositionEntropy(memory_);
   gate_->CloseCycle();
 
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    consumed_ += current.samples;
-    history_.push_back(current);
-  }
-
-  // Checkpoint, then swap. The checkpoint write is atomic (temp + rename),
-  // so a kill here leaves either the previous boundary or this one — both
-  // resume bit-identically (the journal still holds this cycle's window).
-  util::Status status = SaveCheckpoint();
+  // Checkpoint, then swap, then count the cycle as completed. The
+  // checkpoint write is atomic (temp + rename), so a kill here leaves
+  // either the previous boundary or this one — both resume bit-identically
+  // (the journal still holds this cycle's window). The swap installs the
+  // in-memory state only once its file is written, so the served model is
+  // never newer than what a restart would load.
+  util::Status status = SaveCheckpoint(&current);
   uint64_t snapshot_id = 0;
   if (status.ok()) {
-    status = handle_->LoadAndSwap(checkpoint_path());
+    status = SwapFromMemory();
     if (status.ok()) {
       serve::SnapshotHandle snapshot = handle_->registry()->Current();
       snapshot_id = snapshot != nullptr ? snapshot->id() : 0;
@@ -396,6 +393,13 @@ void LearnServeDaemon::CloseCycle(const std::string& cause) {
     EDSR_LOG(Error) << "daemon cycle " << current.cycle
                     << " checkpoint/swap failed: " << status.ToString();
     EDSR_METRIC_COUNT("daemon.err.cycle", 1);
+  }
+  {
+    // Counted only now, so a caller woken by WaitForCycles finds the
+    // cycle's snapshot serving.
+    std::lock_guard<std::mutex> lock(mu_);
+    consumed_ += current.samples;
+    history_.push_back(current);
   }
 
   const double cycle_seconds = train_seconds_ + close_watch.ElapsedSeconds();
@@ -426,13 +430,18 @@ void LearnServeDaemon::CloseCycle(const std::string& cause) {
   cv_.notify_all();
 }
 
-util::Status LearnServeDaemon::SaveCheckpoint() {
+util::Status LearnServeDaemon::SaveCheckpoint(
+    const DaemonCycleResult* closing) {
   int64_t consumed = 0;
   std::vector<DaemonCycleResult> history;
   {
     std::lock_guard<std::mutex> lock(mu_);
     consumed = consumed_;
     history = history_;
+  }
+  if (closing != nullptr) {
+    consumed += closing->samples;
+    history.push_back(*closing);
   }
   io::ContainerWriter writer(checkpoint_path());
 
@@ -460,6 +469,20 @@ util::Status LearnServeDaemon::SaveCheckpoint() {
 
   EDSR_RETURN_NOT_OK(strategy_->SaveTo(&writer));
   return writer.Finish();
+}
+
+util::Status LearnServeDaemon::SwapFromMemory() {
+  // Keeps the span name of ServeHandle::LoadAndSwap, which this replaces on
+  // the daemon's path: it times the whole swap.
+  EDSR_TRACE_SPAN("serve_load_and_swap");
+  const serve::SnapshotLoadOptions& load = handle_->options().load;
+  util::Result<serve::SnapshotPayload> payload =
+      serve::SnapshotPayloadFromState(*strategy_->encoder(), memory_,
+                                      strategy_->increments_seen(), load);
+  if (!payload.ok()) return payload.status();
+  handle_->registry()->Install(std::move(payload).ValueOrDie(), load,
+                               checkpoint_path());
+  return util::Status::OK();
 }
 
 util::Status LearnServeDaemon::LoadCheckpoint(bool* found) {

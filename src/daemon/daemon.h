@@ -11,9 +11,11 @@
 //            batch; when the count/drift trigger fires, the open cycle
 //            consolidates (selection + noisy replay);
 //   swap   — each completed cycle writes an EDSRBOX1 checkpoint
-//            (daemon/* + strategy/* sections, atomic temp+rename) and
-//            hot-swaps it into the ServeHandle's SnapshotRegistry; requests
-//            in flight finish on the old snapshot, zero are dropped.
+//            (daemon/* + strategy/* sections, atomic temp+rename), then
+//            installs the same state, taken from memory (encoder copy +
+//            labeled replay rows), in the ServeHandle's SnapshotRegistry;
+//            the file is written once and never read back. Requests in
+//            flight finish on the old snapshot, zero are dropped.
 //
 // Crash contract (kill -9 at ANY point resumes bit-identically):
 //   * a sample is acked only after it is journaled; cycles consume samples
@@ -30,7 +32,11 @@
 //     exactly why it is bit-identical;
 //   * the per-cycle "daemon" JSONL is rewritten from the checkpointed
 //     history on startup, so a record emitted (or not) just before a crash
-//     can never disagree with the checkpoint.
+//     can never disagree with the checkpoint;
+//   * a snapshot is installed only after its checkpoint is on disk, so the
+//     served model is never newer than the file a restart loads, and the
+//     restart's first snapshot (built from the loaded state) serves what
+//     the last one before the crash served.
 //
 // Threading: connection threads call Ingest (journal append + queue push
 // under one mutex); the cycle thread is the only code that touches the
@@ -145,6 +151,8 @@ class LearnServeDaemon {
   std::vector<DaemonCycleResult> cycles() const;
 
   // Blocks until `n` cycles have completed (or timeout); true on success.
+  // A cycle completes once its checkpoint is written and its snapshot
+  // installed, so the handle serves it when this returns.
   bool WaitForCycles(int64_t n, int64_t timeout_ms);
 
  private:
@@ -153,8 +161,13 @@ class LearnServeDaemon {
   // keep streaming).
   std::string TrainChunk(std::vector<JournalRecord> chunk);
   void CloseCycle(const std::string& cause);
-  util::Status SaveCheckpoint();
+  // Writes the boundary checkpoint: the completed history plus `closing`,
+  // the cycle being closed (nullptr at Start).
+  util::Status SaveCheckpoint(const DaemonCycleResult* closing = nullptr);
   util::Status LoadCheckpoint(bool* found);
+  // Installs the strategy's current encoder and replay memory as the
+  // serving snapshot (serve::SnapshotPayloadFromState).
+  util::Status SwapFromMemory();
   void EmitCycleRecord(const DaemonCycleResult& cycle, double train_seconds,
                        double cycle_seconds, uint64_t snapshot_id);
   void RewriteMetricsFile();
@@ -167,7 +180,7 @@ class LearnServeDaemon {
   data::ImageGeometry geometry_;
 
   std::unique_ptr<cl::ContinualStrategy> strategy_;
-  const cl::MemoryBuffer* memory_ = nullptr;  // EDSR's buffer, else nullptr
+  const cl::MemoryBuffer* memory_ = nullptr;  // strategy_->replay_memory()
   std::unique_ptr<stream::CycleTrigger> trigger_;
   std::unique_ptr<stream::TriggerGate> gate_;
   std::unique_ptr<serve::ServeHandle> handle_;

@@ -10,6 +10,23 @@ namespace edsr::nn {
 
 using tensor::Tensor;
 
+namespace {
+
+// Kaiming-uniform weights and a uniform bias in +-1/sqrt(fan_in); all zeros
+// without an rng, which draws nothing (Encoder::CopyOf's twins).
+Tensor InitWeight(const tensor::Shape& shape, int64_t fan_in, util::Rng* rng) {
+  return rng != nullptr ? KaimingUniform(shape, fan_in, rng)
+                        : Tensor::Zeros(shape);
+}
+
+Tensor InitBias(int64_t size, int64_t fan_in, util::Rng* rng) {
+  if (rng == nullptr) return Tensor::Zeros({size});
+  float bound = 1.0f / std::sqrt(static_cast<float>(fan_in));
+  return Tensor::Rand({size}, rng, -bound, bound);
+}
+
+}  // namespace
+
 // ---- Linear ----------------------------------------------------------------
 
 Linear::Linear(int64_t in_features, int64_t out_features, util::Rng* rng,
@@ -18,11 +35,10 @@ Linear::Linear(int64_t in_features, int64_t out_features, util::Rng* rng,
   EDSR_CHECK_GT(in_features, 0);
   EDSR_CHECK_GT(out_features, 0);
   weight_ = RegisterParameter(
-      "weight", KaimingUniform({in_features, out_features}, in_features, rng));
+      "weight", InitWeight({in_features, out_features}, in_features, rng));
   if (bias) {
-    float bound = 1.0f / std::sqrt(static_cast<float>(in_features));
-    bias_ = RegisterParameter(
-        "bias", Tensor::Rand({out_features}, rng, -bound, bound));
+    bias_ = RegisterParameter("bias",
+                              InitBias(out_features, in_features, rng));
   }
 }
 
@@ -41,11 +57,9 @@ Conv2dLayer::Conv2dLayer(int64_t in_channels, int64_t out_channels,
   int64_t fan_in = in_channels * kernel * kernel;
   weight_ = RegisterParameter(
       "weight",
-      KaimingUniform({out_channels, in_channels, kernel, kernel}, fan_in, rng));
+      InitWeight({out_channels, in_channels, kernel, kernel}, fan_in, rng));
   if (bias) {
-    float bound = 1.0f / std::sqrt(static_cast<float>(fan_in));
-    bias_ = RegisterParameter(
-        "bias", Tensor::Rand({out_channels}, rng, -bound, bound));
+    bias_ = RegisterParameter("bias", InitBias(out_channels, fan_in, rng));
   }
 }
 

@@ -12,6 +12,7 @@
 namespace edsr::nn {
 
 // Affine map y = xW + b for row-major batches x: (n, in) -> (n, out).
+// Parameters are drawn from `rng`; a nullptr rng leaves them zero.
 class Linear : public Module {
  public:
   Linear(int64_t in_features, int64_t out_features, util::Rng* rng,
@@ -29,7 +30,8 @@ class Linear : public Module {
   tensor::Tensor bias_;    // (out) or undefined
 };
 
-// 2-D convolution layer over NCHW inputs.
+// 2-D convolution layer over NCHW inputs. Parameters are drawn from `rng`;
+// a nullptr rng leaves them zero.
 class Conv2dLayer : public Module {
  public:
   Conv2dLayer(int64_t in_channels, int64_t out_channels, int64_t kernel,

@@ -18,6 +18,9 @@
 //   * LoadSnapshotPayload reads the encoder (and memory) out of an EDSRBOX1
 //     run checkpoint via ContainerReader::OpenShared, so the server can
 //     open a file the trainer process is about to atomically replace.
+//     SnapshotPayloadFromState builds the same payload from a model that is
+//     already in memory (the learn-and-serve daemon's hot swap), without
+//     reading the checkpoint it has just written.
 //
 // Thread-safety: Install/Current/swaps are safe from any thread. The
 // encoder inside a snapshot is NOT internally synchronized — the
@@ -31,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "src/cl/memory.h"
 #include "src/eval/knn.h"
 #include "src/nn/quant.h"
 #include "src/ssl/encoder.h"
@@ -138,6 +142,15 @@ class SnapshotRegistry {
 // error Status; nothing in this path aborts.
 util::Result<SnapshotPayload> LoadSnapshotPayload(
     const std::string& path, const SnapshotLoadOptions& options);
+
+// The payload of an in-memory model: a copy of `encoder`
+// (ssl::Encoder::CopyOf), the labeled rows of `memory` (label >= 0, in
+// buffer order; none when `memory` is nullptr or build_knn_bank is off) and
+// `increments_seen`. Equal, state bit for bit, to what LoadSnapshotPayload
+// reads back from a checkpoint of the same strategy state.
+util::Result<SnapshotPayload> SnapshotPayloadFromState(
+    const ssl::Encoder& encoder, const cl::MemoryBuffer* memory,
+    int64_t increments_seen, const SnapshotLoadOptions& options);
 
 }  // namespace edsr::serve
 

@@ -34,6 +34,12 @@ std::unique_ptr<Encoder> Encoder::Make(const EncoderConfig& config,
   return std::make_unique<Encoder>(config, rng);
 }
 
+std::unique_ptr<Encoder> Encoder::CopyOf(const Encoder& other) {
+  std::unique_ptr<Encoder> copy = Make(other.config_, /*rng=*/nullptr);
+  copy->CopyStateFrom(other);
+  return copy;
+}
+
 tensor::Tensor Encoder::ForwardBackbone(const tensor::Tensor& input) {
   tensor::Tensor x = input;
   if (!input_heads_.empty()) {

@@ -41,8 +41,13 @@ class Encoder : public nn::Module {
   Encoder(const EncoderConfig& config, util::Rng* rng);
 
   // Builds an encoder; use twice with independent rngs to get teacher twins.
+  // A nullptr rng builds one with zero parameters and draws nothing, for a
+  // state that is copied or deserialized in right after.
   static std::unique_ptr<Encoder> Make(const EncoderConfig& config,
                                        util::Rng* rng);
+  // A structurally identical encoder holding a copy of `other`'s state
+  // (parameters and buffers), built without drawing random numbers.
+  static std::unique_ptr<Encoder> CopyOf(const Encoder& other);
 
   tensor::Tensor Forward(const tensor::Tensor& input) override;
 
