@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full verification in one command: tier-1 configure/build/ctest, then the
-# same suite under the ASan/UBSan `sanitize` preset, then the concurrent
-# suites under the ThreadSanitizer `tsan` preset. Exits non-zero on the
+# same suite under the ASan/UBSan `sanitize` preset, then the whole suite
+# again under the ThreadSanitizer `tsan` preset. Exits non-zero on the
 # first failure.
 #
 # Opt-in perf gate: `scripts/verify.sh --bench` additionally re-runs the
@@ -197,10 +197,10 @@ EDSR_NUM_THREADS=4 ctest --test-dir build-sanitize \
     -L 'perf|serve|stream' --output-on-failure
 
 echo "== tier 3: tsan preset (ThreadSanitizer, EDSR_NUM_THREADS=4) =="
-# The suites that drive concurrent code (threadpool, kernels, obs, serve,
-# stream, daemon; the preset builds only these six and selects their
-# labels) under ThreadSanitizer with a 4-worker pool. A TSan report makes
-# the process exit non-zero, so any race fails.
+# Every suite under ThreadSanitizer with a 4-worker pool: the preset builds
+# and runs all of them, not a chosen list, so a test binary that gains a
+# thread is covered without touching the preset. A TSan report makes the
+# process exit non-zero, so any race fails.
 cmake --preset tsan
 cmake --build --preset tsan -j "${JOBS}"
 ctest --preset tsan
